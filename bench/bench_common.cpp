@@ -9,7 +9,6 @@
 
 #include "obs/export.hpp"
 #include "obs/manifest.hpp"
-#include "obs/metrics.hpp"
 
 namespace bench {
 
@@ -226,15 +225,6 @@ bool write_report() {
   if (!r.open || r.written) return false;
   r.written = true;
 
-  // Latency distribution over the section wall times: power-of-two
-  // buckets from 1 us up past half an hour, so full-scale table benches
-  // never land in the overflow bucket.
-  std::vector<std::uint64_t> bounds;
-  for (std::uint64_t b = 1024; bounds.size() < 32; b *= 2) bounds.push_back(b);
-  obs::Histogram hist(std::move(bounds));
-  for (const ReportSection& s : r.sections) hist.observe(s.wall_ns);
-  const obs::HistogramSnapshot h = hist.snapshot();
-
   std::string out = "{\"bench\":" + obs::json_quote(r.name);
   out += ",\"manifest\":" + r.manifest.to_json();
   out += ",\"sections\":[";
@@ -257,13 +247,6 @@ bool write_report() {
     out += obs::json_quote(r.scalars[i].first) + ":" +
            json_number(r.scalars[i].second);
   }
-  out += "},\"latency_ns\":{";
-  out += "\"count\":" + std::to_string(h.count);
-  out += ",\"mean\":" + json_number(h.mean());
-  out += ",\"p50\":" + std::to_string(h.p50());
-  out += ",\"p90\":" + std::to_string(h.p90());
-  out += ",\"p99\":" + std::to_string(h.p99());
-  out += ",\"max\":" + std::to_string(h.max);
   out += "}}\n";
 
   std::string path = "BENCH_" + r.name + ".json";

@@ -9,7 +9,7 @@
 // BENCH_<name>.json lands in $VPROFILE_BENCH_JSON_DIR (or the CWD) at
 // exit, stamped with the RunManifest (git describe, timestamp, every
 // bench_seed the run looked up, the scale factor) plus per-section wall
-// times and p50/p90/p99/max latency over the sections.  print_header /
+// times, per-section metrics and scalars.  print_header /
 // print_result / run_three_tests feed the report automatically, so a
 // table bench needs no further changes.
 #pragma once

@@ -26,16 +26,7 @@ std::size_t pad4(std::size_t n) { return (n + 3) & ~std::size_t{3}; }
 
 ScoringPlan::ScoringPlan(const Model& model, linalg::simd::Backend requested)
     : model_(model), backend_(linalg::simd::resolve(requested)) {
-  const std::size_t dim = model.dimension();
   const bool mahalanobis = model.metric() == DistanceMetric::kMahalanobis;
-
-  // One feature grid for the whole model: features are quantized once per
-  // batch, then compared against every cluster's mean on the same grid.
-  double max_abs = 0.0;
-  for (const ClusterModel& cm : model.clusters()) {
-    for (double m : cm.mean) max_abs = std::max(max_abs, std::abs(m));
-  }
-  feature_step_ = linalg::fixed::choose_feature_step(max_abs);
 
   clusters_.reserve(model.clusters().size());
   for (const ClusterModel& cm : model.clusters()) {
@@ -62,10 +53,6 @@ ScoringPlan::ScoringPlan(const Model& model, linalg::simd::Backend requested)
         }
       }
     }
-
-    ops.fixed = linalg::fixed::quantize_cluster(
-        ops.mean.data(), mahalanobis ? ops.inv_cov.data() : nullptr, dim,
-        feature_step_);
     clusters_.push_back(std::move(ops));
   }
 }
@@ -128,32 +115,9 @@ void BatchScorer::score_batch(const EdgeSet* const* sets,
 
   dist_.resize(plan_.clusters_.size() * stride);
 
-  if (backend == Backend::kFixed) {
-    soa_fx_.resize(dim * stride);
-    for (std::size_t e = 0; e < n; ++e) {
-      const auto& xs = sets[indices[e]]->samples;  // size == dim (prescore)
-      for (std::size_t i = 0; i < dim; ++i) {
-        soa_fx_[i * stride + e] =
-            linalg::fixed::quantize_feature(xs[i], plan_.feature_step_);
-      }
-    }
-    const linalg::fixed::FixedBatchView view{soa_fx_.data(), stride, n, dim};
-    for (std::size_t c = 0; c < plan_.clusters_.size(); ++c) {
-      double* row = dist_.data() + c * stride;
-      if (mahalanobis) {
-        linalg::fixed::mahalanobis_fixed(view, plan_.clusters_[c].fixed, row,
-                                         0, n);
-      } else {
-        linalg::fixed::euclidean_fixed(view, plan_.clusters_[c].fixed, row,
-                                       0, n);
-      }
-    }
-    return;
-  }
-
   soa_.resize(dim * stride);
   for (std::size_t e = 0; e < n; ++e) {
-    const auto& xs = sets[indices[e]]->samples;
+    const auto& xs = sets[indices[e]]->samples;  // size == dim (prescore)
     for (std::size_t i = 0; i < dim; ++i) soa_[i * stride + e] = xs[i];
   }
   // The pad columns [n, stride) are never read (the AVX2 body stops at the

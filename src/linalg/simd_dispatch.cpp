@@ -25,7 +25,6 @@ const char* to_string(Backend backend) {
     case Backend::kAuto: return "auto";
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
-    case Backend::kFixed: return "fixed";
   }
   return "unknown";
 }
@@ -51,7 +50,6 @@ void set_force_scalar_override(int forced) { g_force_override = forced; }
 Backend resolve(Backend requested) {
   switch (requested) {
     case Backend::kScalar:
-    case Backend::kFixed:
       return requested;
     case Backend::kAuto:
     case Backend::kAvx2:

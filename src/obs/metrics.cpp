@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -79,10 +80,12 @@ std::uint64_t HistogramSnapshot::quantile(double q) const {
   if (count == 0) {
     return 0;
   }
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-quantile observation, 1-based, at least 1.
-  const auto rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(q * static_cast<double>(count) + 0.5));
+  // Nearest rank of the q-quantile observation: ceil(q * count), 1-based,
+  // clamped to [1, count].
+  const double r = std::ceil(std::clamp(q, 0.0, 1.0) *
+                             static_cast<double>(count));
+  const auto rank = std::clamp<std::uint64_t>(static_cast<std::uint64_t>(r),
+                                              1, count);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     seen += counts[i];

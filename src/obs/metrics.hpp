@@ -62,8 +62,9 @@ struct HistogramSnapshot {
   std::vector<std::uint64_t> bounds;
   std::vector<std::uint64_t> counts;
 
-  /// Upper bound of the bucket holding the q-quantile (q in [0,1]); the
-  /// overflow bucket reports the exact observed max.  0 when empty.
+  /// Upper bound of the bucket holding the q-quantile (q in [0,1]), found
+  /// by nearest rank ceil(q * count); the overflow bucket reports the
+  /// exact observed max.  0 when empty.
   std::uint64_t quantile(double q) const;
   std::uint64_t p50() const { return quantile(0.50); }
   std::uint64_t p90() const { return quantile(0.90); }

@@ -52,7 +52,7 @@ DetectionPipeline::DetectionPipeline(const vprofile::Model& model,
                                      PipelineConfig config, ResultSink sink)
     : model_(model),
       config_(config),
-      plan_(model, config.backend),
+      plan_(model),
       queue_(config.queue_capacity),
       collector_(std::move(sink)) {
   if (config_.num_workers == 0) {

@@ -19,12 +19,11 @@
 //  * Every submitted frame produces exactly one FrameResult at the sink,
 //    in submission order, even when workers finish out of order and even
 //    for frames dropped by a full queue in non-blocking mode.
-//  * For the float backends (kAuto/kScalar/kAvx2), scoring is bit-identical
-//    to calling extract_edge_set() + detect() sequentially: the batch
-//    scorer's kernels mirror the one-frame reference operation-for-
-//    operation, so nothing about a frame's result depends on scheduling,
-//    batch boundaries, or the resolved backend.  (kFixed is the explicit
-//    quantized profile and diverges within its documented error bound.)
+//  * Scoring is bit-identical to calling extract_edge_set() + detect()
+//    sequentially: the batch scorer's kernels mirror the one-frame
+//    reference operation-for-operation, so nothing about a frame's result
+//    depends on scheduling, batch boundaries, or the backend that
+//    VPROFILE_FORCE_SCALAR and the CPU resolve (linalg/simd_dispatch.hpp).
 //  * finish() drains: it stops intake, waits for every accepted frame to
 //    be scored and emitted, then joins the workers.
 #pragma once
@@ -42,7 +41,6 @@
 #include "core/detector.hpp"
 #include "core/extractor.hpp"
 #include "core/model.hpp"
-#include "linalg/simd_dispatch.hpp"
 #include "dsp/trace.hpp"
 #include "pipeline/counters.hpp"
 #include "pipeline/ordered_collector.hpp"
@@ -73,9 +71,6 @@ struct PipelineConfig {
   /// queue hand-off and feed the SIMD kernels full quads.  Verdicts do not
   /// depend on this value (see the bit-identity guarantee above).
   std::size_t batch_size = 8;
-  /// Scoring backend request, resolved once at pipeline construction
-  /// against the CPU and VPROFILE_FORCE_SCALAR (linalg/simd_dispatch.hpp).
-  linalg::simd::Backend backend = linalg::simd::Backend::kAuto;
   vprofile::DetectionConfig detection;
   /// Attach the extracted edge set to each ok() FrameResult.  Off by
   /// default (results stay small); the supervised runtime turns it on so
@@ -188,8 +183,8 @@ class DetectionPipeline {
   const vprofile::Model& model_;
   PipelineConfig config_;
   /// Immutable scoring operands (resolved backend, cached Cholesky
-  /// factors, fixed-point quants), shared read-only by every worker's
-  /// BatchScorer.  Built once here — "model load" time.
+  /// factors), shared read-only by every worker's BatchScorer.  Built once
+  /// here — "model load" time.
   vprofile::ScoringPlan plan_;
   Counters counters_;
   Instruments obs_;

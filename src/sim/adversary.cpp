@@ -11,7 +11,6 @@
 #include "core/detector.hpp"
 #include "core/extractor.hpp"
 #include "faults/fault.hpp"
-#include "linalg/fixed_point.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "runtime/supervisor.hpp"
@@ -58,8 +57,6 @@ constexpr std::size_t kPlainIdx =
     static_cast<std::size_t>(DefenseArm::kPlain);
 constexpr std::size_t kGatedIdx =
     static_cast<std::size_t>(DefenseArm::kGated);
-constexpr std::size_t kFixedIdx =
-    static_cast<std::size_t>(DefenseArm::kFixedPoint);
 constexpr std::size_t kSentinelIdx =
     static_cast<std::size_t>(DefenseArm::kSentinel);
 constexpr std::size_t kSupervisedIdx =
@@ -145,7 +142,6 @@ const char* to_string(DefenseArm arm) {
   switch (arm) {
     case DefenseArm::kPlain: return "plain";
     case DefenseArm::kGated: return "gated";
-    case DefenseArm::kFixedPoint: return "fixed-point";
     case DefenseArm::kSentinel: return "sentinel";
     case DefenseArm::kSupervised: return "supervised";
   }
@@ -180,7 +176,7 @@ std::uint64_t FrontierReport::fingerprint() const {
 std::string FrontierReport::to_json() const {
   std::string out;
   out += "{\n";
-  out += "  \"schema\": \"vprofile-frontier-v1\",\n";
+  out += "  \"schema\": \"vprofile-frontier-v2\",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"families\": [";
   for (std::size_t fi = 0; fi < families.size(); ++fi) {
@@ -371,7 +367,6 @@ FrontierCell AdversarySearch::evaluate(AttackFamily family,
   plain_cfg.margin = config_.margin;
   const vprofile::DetectionConfig gated_cfg =
       scenario_detection_config(workload.config, config_.margin);
-  const double step = linalg::fixed::choose_feature_step(workload.max_code);
 
   runtime::DriftSentinel sentinel(model_->clusters().size(), config_.drift);
   // Warm the sentinel on the pre-campaign benign history; only alarms
@@ -400,20 +395,12 @@ FrontierCell AdversarySearch::evaluate(AttackFamily family,
 
     bool plain_det = false;  // extraction failure passes silently
     bool gated_det = true;   // extraction failure escalates
-    bool fixed_det = true;
     if (es.has_value()) {
       plain_det = vprofile::detect(*model_, *es, plain_cfg).is_anomaly();
 
       const vprofile::Detection gated =
           vprofile::detect(*model_, *es, gated_cfg);
       gated_det = gated.is_anomaly();
-
-      vprofile::EdgeSet quantized = *es;
-      for (double& x : quantized.samples) {
-        x = static_cast<double>(linalg::fixed::quantize_feature(x, step)) *
-            step;
-      }
-      fixed_det = vprofile::detect(*model_, quantized, gated_cfg).is_anomaly();
 
       // The sentinel watches the distance stream of every confidently
       // classified frame — benign and attack alike; that is what lets it
@@ -426,7 +413,6 @@ FrontierCell AdversarySearch::evaluate(AttackFamily family,
     if (is_attack) {
       tally(cell.arms[kPlainIdx], plain_det);
       tally(cell.arms[kGatedIdx], gated_det);
-      tally(cell.arms[kFixedIdx], fixed_det);
       tally(cell.arms[kSentinelIdx], gated_det);
     }
   }
@@ -435,7 +421,6 @@ FrontierCell AdversarySearch::evaluate(AttackFamily family,
       sentinel.alarms_total() > baseline_alarms;
   finalize(cell.arms[kPlainIdx], config_.evasion_floor);
   finalize(cell.arms[kGatedIdx], config_.evasion_floor);
-  finalize(cell.arms[kFixedIdx], config_.evasion_floor);
   finalize(cell.arms[kSentinelIdx], config_.evasion_floor);
   // The supervised arm is expensive (a full Supervisor run); it is filled
   // in only at each family's weakest cell by evaluate_supervised().
@@ -608,8 +593,8 @@ FamilyFrontier AdversarySearch::search_family(AttackFamily family,
       evaluate_supervised(family, workload, weakest.params);
 
   frontier.weakest = weakest;
-  for (DefenseArm arm : {DefenseArm::kGated, DefenseArm::kFixedPoint,
-                         DefenseArm::kSentinel, DefenseArm::kSupervised}) {
+  for (DefenseArm arm : {DefenseArm::kGated, DefenseArm::kSentinel,
+                         DefenseArm::kSupervised}) {
     if (frontier.weakest.arm(arm).margin >= 0.0) {
       frontier.closing_defense = arm;
       break;

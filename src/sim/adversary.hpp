@@ -11,15 +11,12 @@
 // detector.  AdversarySearch turns that observation into a benchmark: for
 // each attack family it sweeps a coarse parameter grid, hill-climbs
 // toward the detector's weakest cell, and scores every candidate against
-// five defense arms:
+// four defense arms:
 //
 //   plain       margin-only detector; extraction failures pass silently
 //               (the naive monitor's blind spot)
 //   gated       quality gating on (scenario_detection_config): degraded
 //               captures and extraction failures count as detections
-//   fixed-point gated verdicts on features quantized to the 12-bit
-//               mirror grid (linalg/fixed_point.hpp) — does the embedded
-//               profile open or close blind spots?
 //   sentinel    gated + a Page–Hinkley drift sentinel over the distance
 //               stream; a sentinel alarm detects the *campaign* even when
 //               every individual frame stays under the margin
@@ -70,9 +67,9 @@ inline constexpr std::size_t kNumAttackFamilies = 3;
 const char* to_string(AttackFamily family);
 
 /// The defense arms every candidate point is scored against.
-enum class DefenseArm { kPlain, kGated, kFixedPoint, kSentinel, kSupervised };
+enum class DefenseArm { kPlain, kGated, kSentinel, kSupervised };
 
-inline constexpr std::size_t kNumDefenseArms = 5;
+inline constexpr std::size_t kNumDefenseArms = 4;
 
 const char* to_string(DefenseArm arm);
 

@@ -53,6 +53,20 @@ TEST(Histogram, PercentilesReportBucketUpperBounds) {
   EXPECT_DOUBLE_EQ(s.mean(), (50 * 100 + 40 * 200 + 9 * 300 + 5000) / 100.0);
 }
 
+TEST(Histogram, QuantileUsesNearestRank) {
+  // Seven samples with ranks 6 and 7 in different buckets: p90 is rank
+  // ceil(0.9 * 7) = 7; rounding 6.3 would read rank 6.
+  obs::Histogram h({100, 200, 300});
+  for (int i = 0; i < 5; ++i) h.observe(100);
+  h.observe(200);  // rank 6
+  h.observe(300);  // rank 7
+  const obs::HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.p90(), 300u);
+  EXPECT_EQ(s.quantile(0.7), 100u);        // rank ceil(4.9) = 5
+  EXPECT_EQ(s.quantile(0.8), 200u);        // rank ceil(5.6) = 6
+  EXPECT_EQ(s.quantile(0.0), 100u);        // clamped to rank 1
+}
+
 TEST(Histogram, EmptySnapshotIsAllZero) {
   obs::Histogram h({1, 2});
   const obs::HistogramSnapshot s = h.snapshot();

@@ -5,10 +5,6 @@
 //     (linalg::euclidean_distance / mahalanobis_distance_inv / detect()),
 //   * the AVX2 kernels are bit-identical to the scalar kernels, in every
 //     batch size and [body|tail] split the dispatcher produces,
-//   * the int16 fixed-point backend stays inside its analytically derived
-//     error bound (ClusterQuant::distance_error_bound) and only ever flips
-//     a verdict when the oracle's own decision margin is smaller than the
-//     bound,
 //   * the batched pipeline worker preserves all of the above end to end.
 //
 // Failure messages report ULP distances (stats/ulp.hpp): 0 is identity,
@@ -26,7 +22,6 @@
 #include "core/detector.hpp"
 #include "core/trainer.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/fixed_point.hpp"
 #include "linalg/mahalanobis.hpp"
 #include "linalg/simd_dispatch.hpp"
 #include "linalg/simd_kernels.hpp"
@@ -45,7 +40,6 @@ using vprofile::DistanceMetric;
 using vprofile::EdgeSet;
 using vprofile::Model;
 using vprofile::ScoringPlan;
-using vprofile::Verdict;
 
 /// Bitwise double equality with a ULP-distance diagnostic.
 #define EXPECT_BITEQ(a, b)                                              \
@@ -206,63 +200,6 @@ TEST(SimdKernels, Avx2MatchesScalarBitwiseIncludingTailSplit) {
           << "mahalanobis n=" << n << " e=" << e;
     }
   }
-}
-
-TEST(FixedPointKernels, StaysInsideAnalyticErrorBound) {
-  stats::Rng rng(0x51D0004);
-  const std::size_t dim = 8;
-  for (int trial = 0; trial < 20; ++trial) {
-    Vector mu(dim);
-    for (auto& m : mu) m = rng.gaussian(2000.0, 300.0);
-    const auto [cov, inv] = random_spd(dim, rng);
-
-    double max_abs = 0.0;
-    for (double m : mu) max_abs = std::max(max_abs, std::abs(m));
-    const double step = linalg::fixed::choose_feature_step(max_abs);
-    const auto quant = linalg::fixed::quantize_cluster(
-        mu.data(), inv.data().data(), dim, step);
-    const auto quant_euclid =
-        linalg::fixed::quantize_cluster(mu.data(), nullptr, dim, step);
-
-    const std::size_t n = 16;
-    SoaBatch batch = random_batch(n, dim, rng, 2000.0, 400.0);
-    std::vector<std::int16_t> soa_fx(batch.soa.size(), 0);
-    for (std::size_t k = 0; k < batch.soa.size(); ++k) {
-      soa_fx[k] = linalg::fixed::quantize_feature(batch.soa[k], step);
-    }
-    const linalg::fixed::FixedBatchView fview{soa_fx.data(), batch.stride, n,
-                                              dim};
-    std::vector<double> out_m(batch.stride, 0.0);
-    std::vector<double> out_e(batch.stride, 0.0);
-    linalg::fixed::mahalanobis_fixed(fview, quant, out_m.data(), 0, n);
-    linalg::fixed::euclidean_fixed(fview, quant_euclid, out_e.data(), 0, n);
-
-    for (std::size_t e = 0; e < n; ++e) {
-      const Vector x = batch.edge(e);
-      double radius = 0.0;
-      for (std::size_t i = 0; i < dim; ++i) {
-        radius = std::max(radius, std::abs(x[i] - mu[i]));
-      }
-      const double oracle_m = linalg::mahalanobis_distance_inv(x, mu, inv);
-      const double bound_m = quant.distance_error_bound(radius);
-      EXPECT_LE(std::abs(out_m[e] - oracle_m), bound_m)
-          << "trial " << trial << " edge " << e << " radius " << radius;
-
-      const double oracle_e = linalg::euclidean_distance(x, mu);
-      const double bound_e = quant_euclid.distance_error_bound(radius);
-      EXPECT_LE(std::abs(out_e[e] - oracle_e), bound_e)
-          << "trial " << trial << " edge " << e << " radius " << radius;
-    }
-  }
-}
-
-TEST(FixedPointKernels, FeatureStepMirrorsAdcResolution) {
-  // A 12-bit digitizer's full scale maps losslessly (step 1); a 16-bit
-  // card's 4x larger code range needs step 16 to fit the same grid.
-  EXPECT_EQ(linalg::fixed::choose_feature_step(2047.0), 1.0);
-  EXPECT_EQ(linalg::fixed::choose_feature_step(32767.0), 16.0);
-  // Degenerate all-zero profile still gets a sane grid.
-  EXPECT_EQ(linalg::fixed::choose_feature_step(0.0), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -434,64 +371,6 @@ TEST_P(SimdDifferential, Avx2BatchIsBitIdenticalToScalarBatch) {
   }
 }
 
-TEST_P(SimdDifferential, FixedBackendHonorsBoundAndNeverFlipsClearVerdicts) {
-  DifferentialFixture f(GetParam(), 0xD1FF0003);
-  const ScoringPlan plan(*f.model, Backend::kFixed);
-  ASSERT_EQ(plan.backend(), Backend::kFixed);
-  const DetectionConfig dc = plain_config();
-  const auto oracle = oracle_detections(*f.model, f.stream, dc);
-  const auto got = batched_detections(plan, f.stream, dc, 16);
-  ASSERT_EQ(got.size(), oracle.size());
-
-  const auto& clusters = f.model->clusters();
-  std::size_t flips = 0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const EdgeSet& es = f.stream[i];
-    // Prescore outcomes carry no arithmetic: they must match exactly.
-    if (oracle[i].verdict == Verdict::kDegraded ||
-        oracle[i].verdict == Verdict::kUnknownSa) {
-      expect_same_detection(got[i], oracle[i], "frame=" + std::to_string(i));
-      continue;
-    }
-    // Per-cluster oracle distances and error bounds for this frame.
-    std::vector<double> dist(clusters.size());
-    std::vector<double> bound(clusters.size());
-    for (std::size_t c = 0; c < clusters.size(); ++c) {
-      dist[c] = f.model->distance(c, es.samples);
-      double radius = 0.0;
-      for (std::size_t k = 0; k < es.samples.size(); ++k) {
-        radius = std::max(radius,
-                          std::abs(es.samples[k] - clusters[c].mean[k]));
-      }
-      bound[c] = plan.distance_error_bound(c, radius);
-    }
-    const std::size_t pf = *got[i].predicted_cluster;
-    const std::size_t po = *oracle[i].predicted_cluster;
-    // The fixed distance to the cluster it picked is within that cluster's
-    // bound of the oracle distance to the same cluster.
-    EXPECT_LE(std::abs(got[i].min_distance - dist[pf]), bound[pf])
-        << "frame=" << i;
-    if (pf != po) {
-      // A cluster flip is only possible when the two true distances are
-      // within the summed bounds of each other.
-      ++flips;
-      EXPECT_LE(dist[pf] - dist[po], bound[pf] + bound[po]) << "frame=" << i;
-    }
-    if (got[i].verdict != oracle[i].verdict) {
-      ++flips;
-      if (pf == po) {
-        // A threshold flip requires the oracle margin to be inside the
-        // bound of the scored cluster.
-        const double threshold = clusters[po].max_distance + dc.margin;
-        EXPECT_LE(std::abs(dist[po] - threshold), bound[po]) << "frame=" << i;
-      }
-    }
-  }
-  // The stream is dominated by clear-cut frames; the quantized profile
-  // must agree on nearly all of it, not just stay inside the bound.
-  EXPECT_LE(flips, got.size() / 10);
-}
-
 INSTANTIATE_TEST_SUITE_P(Metrics, SimdDifferential,
                          ::testing::Values(DistanceMetric::kEuclidean,
                                            DistanceMetric::kMahalanobis),
@@ -509,7 +388,7 @@ TEST(SimdDispatch, ForceScalarOverridePinsFloatBackendsOnly) {
   linalg::simd::set_force_scalar_override(1);
   EXPECT_EQ(linalg::simd::resolve(Backend::kAuto), Backend::kScalar);
   EXPECT_EQ(linalg::simd::resolve(Backend::kAvx2), Backend::kScalar);
-  EXPECT_EQ(linalg::simd::resolve(Backend::kFixed), Backend::kFixed);
+  EXPECT_EQ(linalg::simd::resolve(Backend::kScalar), Backend::kScalar);
   linalg::simd::set_force_scalar_override(0);
   const Backend expect_auto =
       linalg::simd::cpu_has_avx2() ? Backend::kAvx2 : Backend::kScalar;
@@ -528,10 +407,6 @@ TEST(ScoringPlanTest, CachesFactorsAndValidatesStoredInverse) {
     EXPECT_EQ(plan.factor_ridge(c), 0.0) << "cluster " << c;
     EXPECT_TRUE(plan.inverse_consistent(c)) << "cluster " << c;
   }
-  // The shared feature grid is a power of two and spans the profile.
-  const double step = plan.feature_step();
-  EXPECT_GE(step, 1.0);
-  EXPECT_EQ(std::exp2(std::round(std::log2(step))), step);
 }
 
 TEST(ScoringPlanTest, DetectsCorruptedStoredInverse) {

@@ -4,9 +4,9 @@
 // (overcurrent shaping, voltage-corruption bursts, drift-exploiting slow
 // masquerades), hill-climbing each family's parameters toward the plain
 // detector's weakest cell and scoring every candidate against the full
-// defense stack (plain / gated / fixed-point / drift sentinel / supervised
-// runtime).  Prints the frontier table, records a BENCH_frontier.json via
-// the bench reporter, and writes the byte-stable machine-readable report
+// defense stack (plain / gated / drift sentinel / supervised runtime).
+// Prints the frontier table, records a BENCH_frontier.json via the bench
+// reporter, and writes the byte-stable machine-readable report
 // (FrontierReport::to_json — no timestamps, no git state) to --out so two
 // same-seed runs produce identical files.
 //
