@@ -1,78 +1,24 @@
 // Runtime-layer (supervision) fault plans.
 //
 // The analog layer (fault.hpp) corrupts what the tap records; this header
-// models failures of the *monitor process itself* — a wedged worker
-// thread, a checkpoint file corrupted on disk — so the soak harness can
+// models failures of the *monitor process itself* — a stalled scoring
+// stage, a checkpoint file corrupted on disk — so the soak harness can
 // drive the supervisor's recovery paths deterministically.  Plans are
 // plain data keyed on frame / commit indices (never wall time), so a plan
 // + seed fully determines which recoveries fire and when.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <stdexcept>
 #include <vector>
 
 namespace faults {
 
-/// Thrown out of a stalled stage when the supervisor releases its gate.
-/// The pipeline's per-frame exception containment absorbs it: the wedged
-/// frame becomes one worker_error result and the worker thread survives.
-struct StallReleased : std::runtime_error {
-  StallReleased() : std::runtime_error("stalled stage released") {}
-};
-
-/// Deterministic wedge point for one worker thread.  The supervisor's
-/// stage hook calls wait() for the planned frame, which blocks until the
-/// watchdog decides the stage is dead and calls release(); the release
-/// throws StallReleased out of the hook.  One-shot: once released the
-/// gate stays open (wait() throws immediately), so a restart cannot
-/// re-wedge on the same plan.
-class StallGate {
- public:
-  /// Blocks the calling worker until release(), then throws StallReleased.
-  void wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    entered_ = true;
-    cv_.wait(lock, [&] { return released_; });
-    lock.unlock();
-    throw StallReleased{};
-  }
-
-  /// Opens the gate for every current and future waiter.
-  void release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      released_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  /// True once a worker has reached wait() — the observable "wedged" state
-  /// the watchdog's missed heartbeats correspond to.
-  bool entered() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entered_;
-  }
-
-  bool released() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return released_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  bool released_ = false;
-};
-
-/// Wedge the worker scoring global frame `frame_index` (the supervisor's
-/// own monotone frame numbering, stable across pipeline restarts).  Costs
-/// exactly that frame — absorbed as a worker_error — plus one watchdog
-/// restart.
+/// Stall the stage scoring global frame `frame_index` (the supervisor's
+/// own monotone frame numbering).  The frame, and every frame offered
+/// after it, waits in the supervisor's backlog until the watchdog gives
+/// up on it: the stalled frame comes back as one worker_error, the rest
+/// score in order.  Costs exactly that frame plus one watchdog restart.
 struct WorkerStallPlan {
   std::uint64_t frame_index = 0;
 };

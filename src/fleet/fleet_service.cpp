@@ -647,19 +647,20 @@ void FleetService::run_frame(Tenant& tenant, dsp::Trace&& trace) {
 }
 
 void FleetService::apply_quarantine(Tenant& tenant, const std::string& reason) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tenant.quarantine_pending = false;
-  if (tenant.state == TenantState::kEvicted ||
-      tenant.state == TenantState::kDrained) {
-    retire_supervisor_locked(tenant);
-    return;
+  std::unique_ptr<runtime::Supervisor> retiring;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tenant.quarantine_pending = false;
+    if (tenant.state == TenantState::kQuarantined) return;
+    retiring = std::move(tenant.sup);
+    if (is_serving(tenant.state)) {
+      set_state_locked(tenant, TenantState::kQuarantined, reason);
+      tenant.quarantined_at_offer = tenant.frames_offered;
+      ++stats_.quarantines;
+      if (instruments_.quarantines != nullptr) instruments_.quarantines->add(1);
+    }
   }
-  if (tenant.state == TenantState::kQuarantined) return;
-  retire_supervisor_locked(tenant);
-  set_state_locked(tenant, TenantState::kQuarantined, reason);
-  tenant.quarantined_at_offer = tenant.frames_offered;
-  ++stats_.quarantines;
-  if (instruments_.quarantines != nullptr) instruments_.quarantines->add(1);
+  retire_supervisor(tenant, std::move(retiring));
 }
 
 void FleetService::apply_revive(Tenant& tenant) {
@@ -722,32 +723,39 @@ void FleetService::apply_revive(Tenant& tenant) {
 }
 
 void FleetService::apply_drain(Tenant& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tenant.drain_pending = false;
-  if (tenant.state == TenantState::kEvicted ||
-      tenant.state == TenantState::kDrained) {
-    return;
+  std::unique_ptr<runtime::Supervisor> retiring;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tenant.drain_pending = false;
+    if (tenant.state == TenantState::kEvicted ||
+        tenant.state == TenantState::kDrained) {
+      return;
+    }
+    retiring = std::move(tenant.sup);
+    set_state_locked(tenant, TenantState::kDrained, "drained");
   }
-  retire_supervisor_locked(tenant);
-  set_state_locked(tenant, TenantState::kDrained, "drained");
+  retire_supervisor(tenant, std::move(retiring));
 }
 
-void FleetService::retire_supervisor_locked(Tenant& tenant) {
-  if (tenant.sup == nullptr) return;
+void FleetService::retire_supervisor(
+    Tenant& tenant, std::unique_ptr<runtime::Supervisor> sup) {
+  if (sup == nullptr) return;
+  // finish() drains and commits the final checkpoint (fsyncs): off mu_,
+  // so the other shards keep ingesting meanwhile.
   try {
-    tenant.sup->finish();
+    sup->finish();
   } catch (...) {
     // A supervisor that cannot even finish still gets retired; the
     // bulkhead's whole point is that this never propagates.
   }
+  std::lock_guard<std::mutex> lock(mu_);
   try {
-    accumulate(tenant.acc_stats, tenant.sup->stats());
+    accumulate(tenant.acc_stats, sup->stats());
     tenant.fingerprint_chain =
-        fnv_u64(tenant.fingerprint_chain, tenant.sup->fingerprint());
-    tenant.health = tenant.sup->health();
+        fnv_u64(tenant.fingerprint_chain, sup->fingerprint());
+    tenant.health = sup->health();
   } catch (...) {
   }
-  tenant.sup.reset();
 }
 
 void FleetService::update_health_locked(Tenant& tenant) {

@@ -3,11 +3,13 @@
 // One vprofile_monitor process per truck does not scale to a fleet; this
 // layer multiplexes many vehicle×bus *tenants* over a pool of N shards,
 // each tenant pinned to a shard by FNV-1a of its id and owning its own
-// supervised pipeline, checkpoint directory, transport bookkeeping and
-// health state.  The design goal is fault containment, not raw speed:
+// supervisor, checkpoint directory, transport bookkeeping and health
+// state.  Supervisors own no threads: a tenant's frames are scored on its
+// shard's thread (threaded mode) or on the ingest caller's thread (sync
+// mode), so a fleet runs one thread per shard and none per tenant.  The design goal is fault containment, not raw speed:
 //
 //  * Bulkheads — every supervisor call is exception-contained; a tenant
-//    whose pipeline throws, whose watchdog gives up, or whose checkpoint
+//    whose supervisor throws, whose watchdog gives up, or whose checkpoint
 //    rots is quarantined or degraded *individually* and the rest of the
 //    fleet never observes it.
 //  * Transport hardening — wire decode errors are attributed to the
@@ -24,9 +26,10 @@
 //    when the newest checkpoint is corrupt), a bounded number of times;
 //    past the budget it is evicted for good.
 //
-// Determinism: supervisors run in lockstep mode on a virtual clock that
-// advances with the tenant's own accepted-frame count, and all shedding /
-// dedup / quarantine decisions happen at ingest() in arrival order.  A
+// Determinism: a supervisor handles each frame before submit() returns,
+// its clock is virtual and advances with the tenant's own accepted-frame
+// count, and all shedding / dedup / quarantine decisions happen at
+// ingest() in arrival order.  A
 // fleet run is therefore a pure function of the per-tenant input
 // sequences — per-tenant fingerprints are bit-identical across repeated
 // runs AND across shard counts and threading modes, which is what the
@@ -83,8 +86,7 @@ struct TransportStats {
 /// Per-tenant defaults applied at register_tenant().
 struct TenantConfig {
   /// Supervisor template.  checkpoint_dir is overwritten with the
-  /// tenant's own directory under FleetConfig::checkpoint_root.  For the
-  /// determinism contract, keep lockstep=true and num_workers=1.
+  /// tenant's own directory under FleetConfig::checkpoint_root.
   runtime::SupervisorConfig supervisor;
   /// Pending frames per tenant in threaded mode; beyond this the frame is
   /// dropped and counted (the backstop bulkhead, not the governor).
@@ -108,7 +110,8 @@ struct TenantConfig {
 
 struct FleetConfig {
   std::size_t num_shards = 4;
-  /// true: one worker thread per shard drains the per-tenant queues.
+  /// true: one worker thread per shard drains the per-tenant queues and
+  /// scores their frames.
   /// false: ingest() routes synchronously on the caller's thread (the
   /// chaos harness's reference mode).  Per-tenant results are
   /// bit-identical either way; see the determinism note above.
@@ -273,9 +276,11 @@ class FleetService {
   void apply_quarantine(Tenant& tenant, const std::string& reason);
   void apply_revive(Tenant& tenant);
   void apply_drain(Tenant& tenant);
-  /// Folds the live supervisor's stats/fingerprint into the tenant
-  /// accumulators and destroys it.  Exception-contained.
-  void retire_supervisor_locked(Tenant& tenant);
+  /// Finishes a supervisor already moved out of its tenant, without mu_
+  /// held, then folds its stats/fingerprint/health into the tenant
+  /// accumulators under mu_.  Exception-contained.
+  void retire_supervisor(Tenant& tenant,
+                         std::unique_ptr<runtime::Supervisor> sup);
   void update_health_locked(Tenant& tenant);
   void set_state_locked(Tenant& tenant, TenantState state,
                         const std::string& reason);

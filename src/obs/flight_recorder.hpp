@@ -27,9 +27,9 @@
 //    retained list, atomics).
 //
 // Determinism: bundles contain no timestamps beyond the caller-supplied
-// RunManifest and the caller-supplied per-record tick.  Under the
-// supervisor's lockstep mode the whole bundle — evidence, context,
-// incident metadata — is a pure function of (model, config, input
+// RunManifest and the caller-supplied per-record tick.  A supervised run
+// on a virtual clock makes the whole bundle — evidence, context,
+// incident metadata — a pure function of (model, config, input
 // stream), which is what makes every incident a reproducible test case
 // for tools/vprofile_replay.
 #pragma once
@@ -85,7 +85,7 @@ const char* to_string(IncidentCause cause);
 /// bit-identical inputs.
 struct EvidenceRecord {
   std::uint64_t seq = 0;      ///< producer's global frame index
-  std::uint64_t tick_ns = 0;  ///< caller's clock (virtual under lockstep)
+  std::uint64_t tick_ns = 0;  ///< caller's clock (virtual in replays)
   double min_distance = 0.0;
   double confidence = 0.0;
   std::int32_t expected_cluster = -1;  ///< -1 = none

@@ -1,12 +1,17 @@
 // Streaming capture -> extract -> detect pipeline.
 //
 // The batch path (sim::Experiment) scores recorded captures one at a time;
-// a deployed vProfile monitor has to keep up with a live bus.  This
-// pipeline runs Algorithm 1 + Algorithm 3 on a worker pool behind a
-// bounded queue and re-orders verdicts back into capture order:
+// a deployed vProfile monitor has to keep up with a live bus.  Two layers:
+//
+//  * FrameScorer — single-threaded: extract (Algorithm 1) -> batched
+//    detect (Algorithm 3) -> FrameResult, with per-frame exception
+//    containment, counters, metric instruments and trace spans.  The one
+//    place a trace becomes a verdict; runtime::Supervisor calls it inline.
+//  * DetectionPipeline — a worker pool of FrameScorers behind a bounded
+//    queue, re-ordering verdicts back into capture order:
 //
 //   submit(trace)                    worker pool                sink
-//   ------------- > RingQueue > extract + batched detect > OrderedCollector
+//   ------------- > RingQueue > FrameScorer per worker > OrderedCollector
 //    (seq assigned)  (bounded,        (parallel)            (capture order)
 //                    backpressure)
 //
@@ -29,7 +34,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -77,15 +81,15 @@ struct PipelineConfig {
   /// gated online updates can fold verdict-approved edge sets without
   /// re-extracting.  Scoring is bit-identical either way.
   bool keep_edge_set = false;
-  /// Test/fault-injection hook run in the worker before a frame is scored
-  /// (runtime fault profiles use it to wedge or crash a stage on cue).  A
-  /// throw from the hook — like a throw from any stage — is contained:
-  /// the frame becomes a worker_error result and the worker survives.
-  /// Null (the default) costs nothing.
+  /// Test hook run by the FrameScorer before a frame is extracted (the
+  /// robustness tests use it to crash a stage on cue).  A throw from the
+  /// hook — like a throw from any stage — is contained: the frame becomes
+  /// a worker_error result and the worker survives.  Null (the default)
+  /// costs nothing.
   std::function<void(std::uint64_t seq, const dsp::Trace& trace)> stage_hook;
   /// Optional observability sinks; null = zero overhead (scoring is
   /// bit-identical either way — instruments only ever read the results).
-  /// Both must outlive the pipeline.
+  /// Both must outlive the pipeline (or scorer) that uses them.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
@@ -115,6 +119,79 @@ struct FrameResult {
   /// Extraction succeeded but the detector refused a confident verdict
   /// (quality gating; see Verdict::kDegraded).
   bool degraded() const { return ok() && detection->is_degraded(); }
+};
+
+/// One frame handed to a FrameScorer.
+struct Frame {
+  std::uint64_t seq = 0;
+  dsp::Trace trace;
+  /// Tracer timestamp at enqueue; 0 when tracing is off or the frame was
+  /// never queued.  Lets the scorer emit the queue-wait span without a
+  /// second submit-side clock.
+  std::uint64_t submit_ns = 0;
+};
+
+/// Turns traces into FrameResults: extract -> BatchScorer::detect, one
+/// call per batch of frames.  Single-threaded (it owns BatchScorer
+/// scratch); share the plan and the Counters, not the scorer.
+///
+/// A throwing stage (extractor bug, hostile input, PipelineConfig::
+/// stage_hook) costs exactly its frame, which becomes a worker_error
+/// result; the scorer stays usable.  Every scored frame is counted into
+/// `counters` and, when config.metrics / config.tracer are set, observed
+/// into the frame instruments and the pipeline.extract / pipeline.detect
+/// spans.  The plan, config and counters must outlive the scorer.
+class FrameScorer {
+ public:
+  FrameScorer(const vprofile::ScoringPlan& plan, const PipelineConfig& config,
+              Counters& counters);
+
+  FrameScorer(const FrameScorer&) = delete;
+  FrameScorer& operator=(const FrameScorer&) = delete;
+
+  /// Scores frames[0..count) into out[0..count), in order; out[k].seq is
+  /// frames[k].seq.  Traces are only read.
+  void score(const Frame* frames, std::size_t count, FrameResult* out);
+
+  /// Accounts frame `seq` as a worker_error without scoring it — the
+  /// outcome of a stage that never returned.  Same counters, instruments
+  /// and spans as a stage that threw.
+  FrameResult abandon(std::uint64_t seq);
+
+ private:
+  struct Slot {
+    FrameResult result;
+    std::optional<vprofile::EdgeSet> edge_set;
+    std::uint64_t extract_ns = 0;
+    std::uint64_t detect_ns = 0;
+  };
+
+  /// Pre-registered metric handles, resolved once in the constructor so
+  /// scoring never touches the registry mutex.  All null when
+  /// config.metrics is null.
+  struct Instruments {
+    obs::Counter* completed = nullptr;
+    obs::Counter* errors = nullptr;
+    obs::Histogram* extract_latency = nullptr;
+    obs::Histogram* detect_latency = nullptr;
+    /// Lazily resolved per-source-address series (detect_latency_ns{sa}).
+    std::array<obs::Histogram*, 256> detect_by_sa{};
+  };
+
+  obs::Histogram* sa_histogram(std::uint8_t sa);
+  /// Counts, observes and traces one finished slot.
+  void account(const Slot& slot, std::uint64_t t_start);
+
+  const PipelineConfig& config_;
+  Counters& counters_;
+  vprofile::BatchScorer scorer_;
+  Instruments obs_;
+  // Per-batch workspace, reserved once so steady state never allocates
+  // for batch bookkeeping (the EdgeSets themselves come from extraction).
+  std::vector<Slot> slots_;
+  std::vector<const vprofile::EdgeSet*> to_score_;
+  std::vector<std::size_t> score_slot_;  // slot index per to_score_ entry
+  std::vector<vprofile::Detection> detections_;
 };
 
 /// Worker-pool pipeline over one trained model.  The model must outlive
@@ -153,42 +230,24 @@ class DetectionPipeline {
   const PipelineConfig& config() const { return config_; }
 
  private:
-  struct Job {
-    std::uint64_t seq = 0;
-    dsp::Trace trace;
-    /// Tracer timestamp at enqueue; 0 when tracing is off.  Lets the
-    /// worker emit the queue-wait span without a second submit-side clock.
-    std::uint64_t submit_ns = 0;
-  };
-
-  /// Pre-registered metric handles, resolved once in the constructor so
-  /// the hot path never touches the registry mutex.  All null when
-  /// config_.metrics is null.
+  /// Submit-side metric handles (the scorers own the frame instruments).
+  /// All null when config_.metrics is null.
   struct Instruments {
     obs::Counter* submitted = nullptr;
-    obs::Counter* completed = nullptr;
     obs::Counter* dropped = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Histogram* extract_latency = nullptr;
-    obs::Histogram* detect_latency = nullptr;
     obs::Gauge* queue_depth = nullptr;
-    /// Lazily resolved per-source-address series (detect_latency_ns{sa}).
-    /// Benign races: the registry hands every thread the same pointer.
-    std::array<std::atomic<obs::Histogram*>, 256> detect_by_sa{};
   };
 
-  obs::Histogram* sa_histogram(std::uint8_t sa);
   void worker_loop();
 
-  const vprofile::Model& model_;
   PipelineConfig config_;
   /// Immutable scoring operands (resolved backend, cached Cholesky
-  /// factors), shared read-only by every worker's BatchScorer.  Built once
+  /// factors), shared read-only by every worker's FrameScorer.  Built once
   /// here — "model load" time.
   vprofile::ScoringPlan plan_;
   Counters counters_;
   Instruments obs_;
-  RingQueue<Job> queue_;
+  RingQueue<Frame> queue_;
   OrderedCollector<FrameResult> collector_;
   std::vector<std::thread> workers_;
   std::mutex submit_mu_;  // serializes seq assignment with enqueue/drop

@@ -11,6 +11,7 @@
 #include "core/detector.hpp"
 #include "core/extractor.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_span.hpp"
 #include "pipeline/counters.hpp"
 
 namespace runtime {
@@ -36,25 +37,6 @@ std::uint64_t outcome_code(const pipeline::FrameResult& r) {
     return 16 + static_cast<std::uint64_t>(r.extract_error);
   }
   return 32 + static_cast<std::uint64_t>(r.detection->verdict);
-}
-
-void add_snapshot(pipeline::CountersSnapshot& into,
-                  const pipeline::CountersSnapshot& from) {
-  into.submitted += from.submitted;
-  into.completed += from.completed;
-  into.dropped += from.dropped;
-  into.worker_errors += from.worker_errors;
-  into.extract_ns += from.extract_ns;
-  into.detect_ns += from.detect_ns;
-  if (from.queue_high_watermark > into.queue_high_watermark) {
-    into.queue_high_watermark = from.queue_high_watermark;
-  }
-  for (std::size_t i = 0; i < into.extract_errors.size(); ++i) {
-    into.extract_errors[i] += from.extract_errors[i];
-  }
-  for (std::size_t i = 0; i < into.verdicts.size(); ++i) {
-    into.verdicts[i] += from.verdicts[i];
-  }
 }
 
 void add_gate_stats(vprofile::GatedUpdateStats& into,
@@ -154,22 +136,21 @@ Supervisor::Supervisor(vprofile::Model model, SupervisorConfig config,
                        ResultSink sink)
     : config_(std::move(config)),
       sink_(std::move(sink)),
-      model_(std::make_shared<const vprofile::Model>(std::move(model))),
+      model_(std::make_unique<const vprofile::Model>(std::move(model))),
       watchdog_(config_.watchdog),
-      sentinel_(model_->clusters().size(), config_.drift) {
+      sentinel_(model_->clusters().size(), config_.drift),
+      stall_spent_(config_.fault_plan.stalls.size(), false) {
   if (config_.online_update) config_.pipeline.keep_edge_set = true;
+  config_.pipeline.stage_hook = nullptr;
   if (config_.validation_holdout_stride == 0) {
     config_.validation_holdout_stride = 1;
   }
   if (!config_.checkpoint_dir.empty()) {
     store_.emplace(config_.checkpoint_dir);
   }
-  gates_.reserve(config_.fault_plan.stalls.size());
-  for (std::size_t i = 0; i < config_.fault_plan.stalls.size(); ++i) {
-    gates_.push_back(std::make_unique<faults::StallGate>());
-  }
   if (obs::MetricsRegistry* reg = config_.pipeline.metrics) {
     watchdog_.bind_metrics(reg);
+    instruments_.submitted = reg->counter("frames_submitted_total");
     instruments_.decimated = reg->counter("runtime_frames_decimated_total");
     instruments_.promotions = reg->counter("runtime_promotions_total");
     instruments_.rollbacks = reg->counter("runtime_rollbacks_total");
@@ -191,46 +172,22 @@ Supervisor::Supervisor(vprofile::Model model, SupervisorConfig config,
     rc.context_json = [this] { return context_json(); };
     recorder_ = std::make_unique<obs::FlightRecorder>(std::move(rc));
   }
-  create_pipeline();
+  plan_.emplace(*model_);
+  scorer_.emplace(*plan_, config_.pipeline, counters_);
 }
 
 Supervisor::~Supervisor() { finish(); }
 
-void Supervisor::create_pipeline() {
-  pipeline::PipelineConfig pc = config_.pipeline;
-  pc.stage_hook = [this](std::uint64_t seq, const dsp::Trace&) {
-    stage_hook(seq);
-  };
-  pipe_ = std::make_unique<pipeline::DetectionPipeline>(
-      *model_, pc,
-      [this](pipeline::FrameResult&& r) { handle(std::move(r)); });
-}
-
-// Sanctioned hot-path boundary: the supervision control plane is allowed
-// to gate, stall and heal the pipeline by design — its cost is the price
-// of fault injection, not part of the scoring contract.
-// vprofile-lint: cold
-void Supervisor::stage_hook(std::uint64_t local_seq) {
-  const std::uint64_t global =
-      base_seq_.load(std::memory_order_relaxed) + local_seq;
-  for (std::size_t i = 0; i < config_.fault_plan.stalls.size(); ++i) {
-    if (config_.fault_plan.stalls[i].frame_index != global) continue;
-    if (gates_[i]->released()) continue;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++wedged_;
-    }
-    handled_cv_.notify_all();
-    gates_[i]->wait();  // blocks, then throws StallReleased
-  }
+void Supervisor::score_and_handle(pipeline::Frame&& frame) {
+  pipeline::FrameResult result;
+  scorer_->score(&frame, 1, &result);
+  // The result path keeps the span name a pipeline worker gives it.
+  obs::TraceSpan span(config_.pipeline.tracer, "pipeline.collect");
+  handle(std::move(result));
 }
 
 void Supervisor::handle(pipeline::FrameResult&& result) {
-  const std::uint64_t global =
-      base_seq_.load(std::memory_order_relaxed) + result.seq;
-  // Sink consumers see the supervisor's global frame numbering, stable
-  // across pipeline restarts.
-  result.seq = global;
+  const std::uint64_t global = result.seq;
   bool drift_alarm = false;
   std::uint32_t generation = 0;
   {
@@ -283,14 +240,12 @@ void Supervisor::handle(pipeline::FrameResult&& result) {
         stats_.frames_handled % config_.checkpoint_every == 0) {
       checkpoint_due_ = true;
     }
-    ++total_handled_;
   }
-  handled_cv_.notify_all();
   if (recorder_ != nullptr) {
     // Outside mu_: record() is lock-free but an armed trigger may emit a
     // bundle here, and bundle context re-enters the supervisor's locked
-    // accessors.  handle() is the pipeline's serialized result path, so
-    // the recorder's single-writer contract holds.
+    // accessors.  Results are handled on the producer thread only, so the
+    // recorder's single-writer contract holds.
     recorder_->record(make_evidence(
         result, last_poll_ns_.load(std::memory_order_relaxed), generation));
     if (result.detection.has_value() && result.detection->is_anomaly()) {
@@ -324,7 +279,7 @@ void Supervisor::validate_candidate_locked() {
   if (regressions <= config_.validation_max_regressions) {
     pending_promotion_ = std::move(*candidate_);
     health_ = HealthState::kRetraining;  // promotion lands at the next
-                                         // control point (a drain boundary)
+                                         // control point
   } else {
     ++stats_.rollbacks;
     if (instruments_.rollbacks != nullptr) instruments_.rollbacks->add();
@@ -343,13 +298,13 @@ void Supervisor::validate_candidate_locked() {
 
 std::optional<std::uint64_t> Supervisor::submit(dsp::Trace trace) {
   apply_control();
-  std::uint64_t global = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (finished_) return std::nullopt;
     ++stats_.frames_offered;
     if (config_.governor_high_water != 0) {
-      const std::size_t depth = pipe_->queue_depth();
+      // Depth of the backlog behind the stalled frame (0 when none).
+      const std::size_t depth = backlog_.empty() ? 0 : backlog_.size() - 1;
       if (!governor_active_ && depth >= config_.governor_high_water) {
         governor_active_ = true;
         if (recorder_ != nullptr) {
@@ -373,30 +328,47 @@ std::optional<std::uint64_t> Supervisor::submit(dsp::Trace trace) {
         }
       }
     }
-    // Global index of the frame about to be forwarded: every previously
-    // forwarded frame claimed exactly one pipeline seq, across restarts.
-    global = expected_results_;
-  }
-  // Enqueue outside the lock: blocking-mode backpressure must not hold up
-  // the result handler.
-  pipe_->submit(std::move(trace));
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Every forwarded frame produces exactly one ordered result (scored,
-    // worker_error, or dropped-by-queue).
-    ++expected_results_;
     ++stats_.frames_submitted;
-    if (config_.lockstep) {
-      // Wait for the frame's result, or for a visibly wedged worker — a
-      // planned stall must hand control back so the caller can drive the
-      // watchdog.
-      handled_cv_.wait(lock, [&] {
-        return total_handled_ >= expected_results_ || wedged_ > 0;
-      });
-    }
+  }
+  counters_.add_submitted();
+  if (instruments_.submitted != nullptr) instruments_.submitted->add();
+  pipeline::Frame frame{next_seq_++, std::move(trace), 0};
+  const std::uint64_t global = frame.seq;
+  if (backlog_.empty() && !stall_planned(global)) {
+    score_and_handle(std::move(frame));
+  } else {
+    backlog_.push_back(std::move(frame));
   }
   apply_control();
   return global;
+}
+
+bool Supervisor::stall_planned(std::uint64_t seq) const {
+  for (std::size_t i = 0; i < stall_spent_.size(); ++i) {
+    if (!stall_spent_[i] && config_.fault_plan.stalls[i].frame_index == seq) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void Supervisor::drain_backlog() {
+  // Every stall whose frame was already forwarded is spent, so frames
+  // behind the stalled one score normally; stalls for frames not yet
+  // forwarded stay armed.
+  for (std::size_t i = 0; i < stall_spent_.size(); ++i) {
+    if (config_.fault_plan.stalls[i].frame_index < next_seq_) {
+      stall_spent_[i] = true;
+    }
+  }
+  if (backlog_.empty()) return;
+  handle(scorer_->abandon(backlog_.front().seq));
+  backlog_.pop_front();
+  while (!backlog_.empty()) {
+    pipeline::Frame frame = std::move(backlog_.front());
+    backlog_.pop_front();
+    score_and_handle(std::move(frame));
+  }
 }
 
 void Supervisor::poll(std::uint64_t now_ns) {
@@ -406,12 +378,7 @@ void Supervisor::poll(std::uint64_t now_ns) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (finished_) return;
-    const pipeline::CountersSnapshot live = pipe_->counters();
-    const std::uint64_t completed =
-        accumulated_.completed.value() + live.completed.value();
-    const bool pending =
-        live.submitted.value() > live.completed.value() + live.dropped.value();
-    action = watchdog_.poll(now_ns, completed, pending);
+    action = watchdog_.poll(now_ns, stats_.frames_handled, !backlog_.empty());
     if (action != Watchdog::Action::kNone) ++stats_.stalls_detected;
     if (action == Watchdog::Action::kGiveUp) {
       health_ = HealthState::kDegraded;
@@ -419,9 +386,9 @@ void Supervisor::poll(std::uint64_t now_ns) {
   }
   if (action == Watchdog::Action::kRestart ||
       action == Watchdog::Action::kGiveUp) {
-    // Either way the wedged stage must be released and the pipeline made
-    // whole; give-up additionally pins health at degraded.
-    restart_pipeline(std::nullopt);
+    // Either way the stalled frame is given up and the backlog scored;
+    // give-up additionally pins health at degraded.
+    drain_backlog();
     watchdog_.notify_restarted(now_ns);
     std::uint64_t handled = 0;
     {
@@ -449,47 +416,20 @@ void Supervisor::trigger_incident(const char* detail) {
                              detail != nullptr ? detail : "operator request");
 }
 
-void Supervisor::release_armed_gates() {
-  std::uint64_t forwarded = 0;
+void Supervisor::install_model(vprofile::Model model) {
+  scorer_.reset();
+  plan_.reset();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    forwarded = expected_results_;
-  }
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    if (gates_[i]->released()) continue;
-    // A gate whose planned frame was already forwarded either holds the
-    // wedged worker right now or will be reached during the drain below;
-    // releasing only gates that report entered() races with the worker
-    // between its wedged_ increment and gate wait, and a drain against an
-    // armed, unreleased gate never returns.  Gates for frames not yet
-    // forwarded stay armed.
-    if (config_.fault_plan.stalls[i].frame_index < forwarded ||
-        gates_[i]->entered()) {
-      gates_[i]->release();
-    }
-  }
-}
-
-void Supervisor::accumulate_counters_locked() {
-  add_snapshot(accumulated_, pipe_->counters());
-  base_seq_.store(accumulated_.submitted.value(), std::memory_order_relaxed);
-  wedged_ = 0;
-}
-
-void Supervisor::restart_pipeline(std::optional<vprofile::Model> new_model) {
-  release_armed_gates();
-  pipe_->finish();  // drains: every accepted frame is handled before this
-                    // returns, so the swap below is a clean generation cut
-  std::lock_guard<std::mutex> lock(mu_);
-  accumulate_counters_locked();
-  if (new_model.has_value()) {
-    model_ = std::make_shared<const vprofile::Model>(std::move(*new_model));
+    model_ = std::make_unique<const vprofile::Model>(std::move(model));
     sentinel_.reset_all();
     validation_window_.clear();
     if (health_ != HealthState::kDegraded) health_ = HealthState::kHealthy;
+    ++stats_.promotions;
   }
-  pipe_.reset();
-  create_pipeline();
+  if (instruments_.promotions != nullptr) instruments_.promotions->add();
+  plan_.emplace(*model_);
+  scorer_.emplace(*plan_, config_.pipeline, counters_);
 }
 
 void Supervisor::apply_control() {
@@ -507,13 +447,11 @@ void Supervisor::apply_control() {
     }
   }
   if (promote.has_value()) {
-    restart_pipeline(std::move(promote));
+    // Frames already forwarded are handled by the model that was live
+    // when they arrived.
+    drain_backlog();
+    install_model(std::move(*promote));
     checkpoint = true;  // a promoted model is immediately made durable
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.promotions;
-    }
-    if (instruments_.promotions != nullptr) instruments_.promotions->add();
   }
   if (checkpoint && store_.has_value()) {
     std::string error;
@@ -534,27 +472,18 @@ void Supervisor::finish() {
     if (finished_) return;
   }
   apply_control();
-  release_armed_gates();
-  pipe_->finish();
+  drain_backlog();
   std::optional<vprofile::Model> promote;
   {
     std::lock_guard<std::mutex> lock(mu_);
     finished_ = true;
-    accumulate_counters_locked();
-    // A promotion decided by the very last frames still lands: the drain
-    // is complete, so the swap is safe without recreating the pipeline.
+    // A promotion decided by the very last frames still lands.
     if (pending_promotion_.has_value()) {
       promote = std::move(pending_promotion_);
       pending_promotion_.reset();
     }
   }
-  if (promote.has_value()) {
-    model_ = std::make_shared<const vprofile::Model>(std::move(*promote));
-    if (instruments_.promotions != nullptr) instruments_.promotions->add();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.promotions;
-    if (health_ != HealthState::kDegraded) health_ = HealthState::kHealthy;
-  }
+  if (promote.has_value()) install_model(std::move(*promote));
   if (store_.has_value()) {
     std::string error;
     if (store_->commit(*model_, &error)) {
@@ -571,8 +500,7 @@ void Supervisor::finish() {
 
 std::string Supervisor::context_json() const {
   // Deterministic fields only: wall-time totals (extract_ns/detect_ns)
-  // and the queue high-water mark vary run to run, and bundles must stay
-  // byte-stable under lockstep replay.
+  // vary run to run, and bundles must stay byte-stable under replay.
   const pipeline::CountersSnapshot counters = pipeline_counters();
   SupervisorStats s;
   HealthState health_now;
@@ -662,10 +590,7 @@ SupervisorStats Supervisor::stats() const {
 }
 
 pipeline::CountersSnapshot Supervisor::pipeline_counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  pipeline::CountersSnapshot snap = accumulated_;
-  if (pipe_ != nullptr && !finished_) add_snapshot(snap, pipe_->counters());
-  return snap;
+  return counters_.snapshot();
 }
 
 std::uint64_t Supervisor::fingerprint() const {

@@ -1,13 +1,15 @@
-// Self-healing supervision around pipeline::DetectionPipeline.
+// Self-healing supervision around pipeline::FrameScorer.
 //
-// The pipeline scores frames; the supervisor keeps the *monitor* alive
-// and the *model* honest across hours of unattended operation:
+// The scorer turns traces into verdicts; the supervisor keeps the
+// *monitor* alive and the *model* honest across hours of unattended
+// operation:
 //
-//  * Watchdog — judges liveness from completed-frame progress on an
-//    externally supplied clock (poll(now_ns)); a wedged stage is released
-//    (the planned-stall gate throws into the pipeline's per-frame
-//    exception containment), the pipeline is drained and recreated, and
-//    restarts back off exponentially up to a budget.
+//  * Watchdog — judges liveness from handled-frame progress on an
+//    externally supplied clock (poll(now_ns)).  A planned worker stall
+//    (faults::WorkerStallPlan) parks its frame, and every frame offered
+//    after it, in a backlog; a watchdog restart or give-up emits the
+//    stalled frame as a worker_error and scores the backlog in order.
+//    Restarts back off exponentially up to a budget.
 //  * Drift sentinel — Page–Hinkley over per-cluster distance streams;
 //    an alarm escalates healthy -> drifting and starts a retrain
 //    candidate.
@@ -15,22 +17,27 @@
 //    edge sets fold into a *copy* of the live model; when the batch is
 //    full the candidate must re-classify a held-back window of recent
 //    benign frames without regressions before it is promoted.  Promotion
-//    swaps the model at a drain point; regression rolls the candidate
-//    back and degrades health instead.
+//    swaps the model and rebuilds the scoring plan at the next control
+//    point; regression rolls the candidate back and degrades health
+//    instead.
 //  * Checkpointing — the live model is committed to a CheckpointStore
 //    periodically, at promotion, and at shutdown; load() recovers to
 //    last-good when the latest checkpoint is corrupt.
-//  * Overload governor — when the queue crosses the high-water mark the
-//    supervisor sheds load deterministically (keep 1 of every
-//    decimation_stride frames) until it falls below the low-water mark.
+//  * Overload governor — when the backlog behind a stalled frame crosses
+//    the high-water mark the supervisor sheds load deterministically
+//    (keep 1 of every decimation_stride frames) until it falls below the
+//    low-water mark.
 //
-// Threading contract: one producer thread calls submit()/poll()/finish();
-// results are handled on worker threads (serialized, in capture order) and
-// forwarded to the caller's sink.  In lockstep mode submit() additionally
-// waits for the frame's result (or a visibly wedged worker), which makes
-// the entire supervised run — verdicts, promotions, restarts — a pure
-// function of (model, config, input stream): the soak harness's
-// bit-identical-fingerprint guarantee.
+// Threading contract: the supervisor owns no threads.  One producer thread
+// calls submit()/poll()/finish(); each frame is scored on that thread and
+// its result handled — and forwarded to the caller's sink, in capture
+// order — before submit() returns, unless a planned stall holds it in the
+// backlog, which then drains on the poll() or finish() that releases the
+// stall.  The entire supervised run — verdicts, promotions, restarts — is
+// therefore a pure function of (model, config, input stream, poll clock):
+// the soak harness's bit-identical-fingerprint guarantee.  health(),
+// stats(), pipeline_counters(), fingerprint() and trigger_incident() may
+// be called from any thread (status endpoints, fleet snapshots).
 #pragma once
 
 #include <atomic>
@@ -43,8 +50,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-#include <condition_variable>
 
 #include "core/model.hpp"
 #include "core/online_update.hpp"
@@ -64,9 +69,10 @@ class MetricsRegistry;
 namespace runtime {
 
 struct SupervisorConfig {
-  /// Base pipeline tuning.  keep_edge_set is forced on while online
-  /// updates are enabled; stage_hook is owned by the supervisor (any
-  /// caller-provided hook is replaced).
+  /// Scoring settings.  A supervisor reads only `detection`,
+  /// `keep_edge_set` (forced on while online updates are enabled),
+  /// `metrics` and `tracer`; the worker, queue, batch and stage_hook
+  /// fields do not apply to inline scoring.
   pipeline::PipelineConfig pipeline;
   WatchdogConfig watchdog;
   DriftConfig drift;
@@ -92,14 +98,15 @@ struct SupervisorConfig {
   /// Candidate anomalies allowed on that window before rollback.
   std::size_t validation_max_regressions = 0;
 
-  /// Overload governor; high_water 0 disables.  While active, only every
-  /// decimation_stride-th offered frame is forwarded.
+  /// Overload governor over the backlog behind a stalled frame;
+  /// high_water 0 disables.  While active, only every decimation_stride-th
+  /// offered frame is forwarded.
   std::size_t governor_high_water = 0;
   std::size_t governor_low_water = 0;
   std::size_t decimation_stride = 2;
 
-  /// Deterministic mode: submit() waits for the frame's result (or a
-  /// wedged worker) before returning.
+  /// No effect: every frame is handled before submit() returns (see the
+  /// threading contract).  Kept for callers that still set it.
   bool lockstep = false;
   /// Injected runtime failures (soak harness).  Stall plans are keyed on
   /// the supervisor's global frame index.
@@ -119,7 +126,7 @@ struct SupervisorConfig {
 
 struct SupervisorStats {
   std::uint64_t frames_offered = 0;    // submit() calls
-  std::uint64_t frames_submitted = 0;  // forwarded to the pipeline
+  std::uint64_t frames_submitted = 0;  // forwarded to scoring
   std::uint64_t frames_decimated = 0;  // shed by the governor
   std::uint64_t frames_handled = 0;    // results seen (ordered)
   std::uint64_t worker_errors = 0;
@@ -135,9 +142,9 @@ struct SupervisorStats {
 
 class Supervisor {
  public:
-  /// Called (serialized, in capture order) with every handled result.
-  /// result.seq carries the supervisor's global frame index (stable
-  /// across pipeline restarts), not the pipeline-local sequence.
+  /// Called on the producer thread, in capture order, with every handled
+  /// result; result.seq carries the supervisor's global frame index.  Runs
+  /// without the supervisor's lock, so it may call the accessors.
   using ResultSink = std::function<void(const pipeline::FrameResult&)>;
 
   Supervisor(vprofile::Model model, SupervisorConfig config,
@@ -152,10 +159,11 @@ class Supervisor {
   std::optional<std::uint64_t> submit(dsp::Trace trace);
 
   /// Supervision tick on the caller's clock (virtual or wall).  Runs the
-  /// watchdog and applies any pending promotion / checkpoint.
+  /// watchdog (which may drain a stalled backlog) and applies any pending
+  /// promotion / checkpoint.
   void poll(std::uint64_t now_ns);
 
-  /// Drains the pipeline, applies pending control actions, commits the
+  /// Drains the backlog, applies pending control actions, commits the
   /// final checkpoint.  Idempotent.
   void finish();
 
@@ -171,23 +179,27 @@ class Supervisor {
   const obs::FlightRecorder* flight_recorder() const {
     return recorder_.get();
   }
-  /// Aggregated pipeline counters across every restart generation.
+  /// Counters of every frame forwarded to scoring.
   pipeline::CountersSnapshot pipeline_counters() const;
   /// Order-exact digest of every handled result (verdict, distance bits)
   /// plus the shed-frame count — the soak harness's equivalence check.
   std::uint64_t fingerprint() const;
 
  private:
-  void create_pipeline();
+  /// Scores one frame on the caller's thread and handles its result.
+  void score_and_handle(pipeline::Frame&& frame);
   void handle(pipeline::FrameResult&& result);
-  void stage_hook(std::uint64_t local_seq);
+  /// True when an unspent planned stall names frame `seq`.
+  bool stall_planned(std::uint64_t seq) const;
+  /// Spends every planned stall already reached and empties the backlog:
+  /// the stalled frame becomes a worker_error, the rest score in order.
+  void drain_backlog();
   /// Applies pending promotion / checkpoint decisions.  Must be called
-  /// without mu_ held (drains the pipeline).
+  /// without mu_ held.
   void apply_control();
-  /// Drains + recreates the pipeline; new_model empty = keep current.
-  void restart_pipeline(std::optional<vprofile::Model> new_model);
-  void accumulate_counters_locked();
-  void release_armed_gates();
+  /// Swaps in a promoted model and rebuilds the scoring plan.  Call with
+  /// an empty backlog and without mu_ held.
+  void install_model(vprofile::Model model);
   void validate_candidate_locked();
   /// Bundle "context" object: detection config, deterministic counters,
   /// supervisor stats.  Takes mu_; call without it held.
@@ -195,24 +207,29 @@ class Supervisor {
 
   SupervisorConfig config_;
   ResultSink sink_;
-  std::shared_ptr<const vprofile::Model> model_;
-  std::unique_ptr<pipeline::DetectionPipeline> pipe_;
+  std::unique_ptr<const vprofile::Model> model_;
+  pipeline::Counters counters_;
+  /// Scoring operands for model_, rebuilt at promotion; the scorer
+  /// borrows plan_, config_.pipeline and counters_.
+  std::optional<vprofile::ScoringPlan> plan_;
+  std::optional<pipeline::FrameScorer> scorer_;
   Watchdog watchdog_;
   DriftSentinel sentinel_;
   std::optional<CheckpointStore> store_;
-  std::vector<std::unique_ptr<faults::StallGate>> gates_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
   /// Caller's clock from the last poll(); stamps evidence records, so
-  /// under lockstep + virtual clock the records stay deterministic.
+  /// under a virtual clock the records stay deterministic.
   std::atomic<std::uint64_t> last_poll_ns_{0};
 
+  // Producer-thread state (never read elsewhere, so not under mu_).
+  /// Global index of the next forwarded frame.
+  std::uint64_t next_seq_ = 0;
+  /// One flag per config_.fault_plan.stalls entry: reached and released.
+  std::vector<bool> stall_spent_;
+  /// A stalled frame and every frame offered after it, in order.
+  std::deque<pipeline::Frame> backlog_;
+
   mutable std::mutex mu_;
-  std::condition_variable handled_cv_;
-  /// Global index of the current pipeline's local seq 0.
-  std::atomic<std::uint64_t> base_seq_{0};
-  std::uint64_t expected_results_ = 0;  // frames forwarded to any pipeline
-  std::uint64_t total_handled_ = 0;
-  std::uint64_t wedged_ = 0;  // workers currently blocked on a stall gate
   std::uint64_t fingerprint_ = 0xcbf29ce484222325ULL;
   HealthState health_ = HealthState::kHealthy;
   bool finished_ = false;
@@ -227,11 +244,11 @@ class Supervisor {
   std::optional<vprofile::Model> pending_promotion_;
   bool checkpoint_due_ = false;
 
-  pipeline::CountersSnapshot accumulated_;  // finished pipeline generations
   SupervisorStats stats_;
   vprofile::GatedUpdateStats gate_accum_;  // completed candidates' gate stats
 
   struct Instruments {
+    obs::Counter* submitted = nullptr;
     obs::Counter* decimated = nullptr;
     obs::Counter* promotions = nullptr;
     obs::Counter* rollbacks = nullptr;

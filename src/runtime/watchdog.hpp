@@ -1,8 +1,8 @@
-// Stall watchdog for the supervised detection pipeline.
+// Stall watchdog for the supervised scoring stage.
 //
 // Liveness is judged from *progress*, never from wall-clock sampling
-// inside the workers: the supervisor feeds poll() the completed-frame
-// count and whether work is pending, plus an externally supplied
+// inside the scorer: the supervisor feeds poll() the handled-frame count
+// and whether a stalled backlog is pending, plus an externally supplied
 // timestamp.  Time only ever enters through poll(now_ns), so tests drive
 // the watchdog on virtual time and the verdict stream stays a pure
 // function of the inputs.
@@ -39,7 +39,7 @@ class Watchdog {
  public:
   enum class Action {
     kNone,     // healthy, or backing off
-    kRestart,  // stalled: restart the pipeline now
+    kRestart,  // stalled: give up the stalled frame, score the backlog
     kGiveUp,   // restart budget exhausted: degrade instead
   };
 
@@ -49,9 +49,9 @@ class Watchdog {
   /// `runtime_stalls_total`.  Null detaches.
   void bind_metrics(obs::MetricsRegistry* registry);
 
-  /// One supervision tick.  `completed_frames` is the pipeline's monotone
-  /// completed count (restart-adjusted by the caller); `work_pending` is
-  /// whether any accepted frame is still unscored.
+  /// One supervision tick.  `completed_frames` is the supervisor's
+  /// monotone handled count; `work_pending` is whether any accepted frame
+  /// is still unscored.
   Action poll(std::uint64_t now_ns, std::uint64_t completed_frames,
               bool work_pending);
 

@@ -451,13 +451,9 @@ ArmOutcome AdversarySearch::evaluate_supervised(
   }
 
   runtime::SupervisorConfig sc;
-  sc.pipeline.num_workers = 1;
-  sc.pipeline.queue_capacity = 256;
-  sc.pipeline.block_when_full = true;
   sc.pipeline.detection =
       scenario_detection_config(workload.config, config_.margin);
   sc.drift = config_.drift;
-  sc.lockstep = true;  // verdicts a pure function of the input stream
   sc.online_update = true;
   sc.retrain_batch = 48;
   sc.validation_window = 16;

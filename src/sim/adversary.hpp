@@ -20,7 +20,7 @@
 //   sentinel    gated + a Page–Hinkley drift sentinel over the distance
 //               stream; a sentinel alarm detects the *campaign* even when
 //               every individual frame stays under the margin
-//   supervised  the full runtime Supervisor in lockstep mode (drift ->
+//   supervised  the full runtime Supervisor (drift ->
 //               retrain -> validate -> promote/rollback), so evasions of
 //               a retraining deployment are distinguished from evasions
 //               of the static model — and silent poisoning (a promotion

@@ -7,11 +7,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/extractor.hpp"
@@ -413,7 +416,6 @@ fleet::FleetConfig base_config() {
   fleet::FleetConfig cfg;
   cfg.num_shards = 2;
   cfg.threaded = false;
-  cfg.tenant.supervisor.lockstep = true;
   cfg.tenant.supervisor.pipeline.num_workers = 1;
   cfg.tenant.supervisor.online_update = false;
   return cfg;
@@ -425,6 +427,30 @@ fleet::wire::Decoder::Event error_event(DecodeError error,
   ev.error = error;
   ev.claimed_tenant = std::move(claimed);
   return ev;
+}
+
+/// Threads in this process right now (one /proc/self/task entry each).
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    static_cast<void>(task);
+    ++n;
+  }
+  return n;
+}
+
+/// thread_count() once it stops changing: a joined thread may linger in
+/// /proc for a moment after join() returns.
+std::size_t settled_thread_count() {
+  std::size_t n = thread_count();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::size_t m = thread_count();
+    if (m == n) break;
+    n = m;
+  }
+  return n;
 }
 
 TEST(FleetCheckpointLayout, SanitizesAndDisambiguates) {
@@ -815,6 +841,51 @@ TEST(FleetService, StatuszJsonCarriesTenantTable) {
   EXPECT_NE(json.find("\"tenants\""), std::string::npos);
   EXPECT_NE(json.find("\"truck-1\""), std::string::npos);
   EXPECT_NE(json.find("\"fingerprint\""), std::string::npos);
+}
+
+// Supervisors score inline: a bare supervisor and a sync fleet run on the
+// caller's thread, and a threaded fleet adds exactly one thread per shard
+// however many tenants it serves.
+TEST(FleetService, SupervisorsAndTenantsStartNoThreads) {
+  const World& w = world();
+  ASSERT_TRUE(w.model.has_value());
+  ASSERT_GE(w.traces.size(), 40u);
+  const std::size_t base = settled_thread_count();
+
+  {
+    runtime::Supervisor sup(*w.model, runtime::SupervisorConfig{});
+    for (std::size_t i = 0; i < 20; ++i) sup.submit(w.traces[i]);
+    EXPECT_EQ(thread_count(), base) << "bare supervisor";
+    sup.finish();
+    EXPECT_EQ(sup.stats().frames_handled, 20u);
+  }
+
+  auto serve = [&](fleet::FleetService& service) {
+    for (std::size_t t = 0; t < 8; ++t) {
+      ASSERT_TRUE(
+          service.register_tenant("truck-" + std::to_string(t), *w.model));
+    }
+    for (std::size_t i = 0; i < 40; ++i) {
+      service.ingest("truck-" + std::to_string(i % 8), w.traces[i]);
+    }
+  };
+  {
+    fleet::FleetService service(base_config());
+    serve(service);
+    EXPECT_EQ(thread_count(), base) << "sync fleet, 8 tenants";
+    service.finish();
+  }
+  {
+    fleet::FleetConfig cfg = base_config();
+    cfg.threaded = true;
+    cfg.num_shards = 3;
+    fleet::FleetService service(cfg);
+    serve(service);
+    EXPECT_EQ(thread_count(), base + cfg.num_shards)
+        << "threaded fleet, 3 shards, 8 tenants";
+    service.finish();
+    EXPECT_EQ(service.stats().frames_accepted, 40u);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Deterministic transport-chaos harness for the fleet service.  Six
-// tenants stream frames over the binary wire codec in lockstep while
-// faults are aimed at specific tenants — torn chunks, duplicated chunks,
-// reordered chunks, a wedged worker, a rotted checkpoint — and the
+// tenants stream frames over the binary wire codec while faults are
+// aimed at specific tenants — torn chunks, duplicated chunks, reordered
+// chunks, a stalled scoring stage, a rotted checkpoint — and the
 // containment contract is asserted exactly:
 //
 //  * every non-faulted tenant's fingerprint is bit-identical to the
@@ -14,8 +14,8 @@
 //    equality) and fingerprint-stable across shard counts and threading
 //    modes for every tenant whose admission sequence is mode-independent.
 //
-// Everything is a pure function of the input bytes: supervisors run in
-// lockstep on per-tenant virtual clocks, and every shedding / dedup /
+// Everything is a pure function of the input bytes: supervisors score
+// inline on per-tenant virtual clocks, and every shedding / dedup /
 // quarantine decision happens at ingest in arrival order.  The `fleet`
 // ctest label lets CI schedule this suite separately.
 #include <gtest/gtest.h>
@@ -167,7 +167,6 @@ fleet::FleetConfig chaos_config(std::size_t shards, bool threaded) {
   fleet::FleetConfig cfg;
   cfg.num_shards = shards;
   cfg.threaded = threaded;
-  cfg.tenant.supervisor.lockstep = true;
   cfg.tenant.supervisor.pipeline.num_workers = 1;
   cfg.tenant.supervisor.online_update = false;
   cfg.tenant.quarantine_decode_errors = 3;
@@ -176,8 +175,8 @@ fleet::FleetConfig chaos_config(std::size_t shards, bool threaded) {
   return cfg;
 }
 
-/// Supervisor override for the stall tenant: a worker wedges on frame 30
-/// and the virtual-clock watchdog must restart the pipeline (the
+/// Supervisor override for the stall tenant: the scoring stage stalls on
+/// frame 30 and the virtual-clock watchdog must give it up (the
 /// soak-scenario parameters).
 runtime::SupervisorConfig stall_supervisor(const fleet::FleetConfig& cfg) {
   runtime::SupervisorConfig sc = cfg.tenant.supervisor;
@@ -278,7 +277,7 @@ TEST(FleetChaos, FaultsAreContainedToTheFaultedTenants) {
   }
   EXPECT_EQ(baseline.stats.wire_errors, 0u);
 
-  // Chaos run: duplicates, reordering, tears and a wedged worker, all at
+  // Chaos run: duplicates, reordering, tears and a stalled stage, all at
   // once.
   const RunOutcome chaos =
       run_fleet(chaos_config(2, false), chaos_uplinks(), true);
@@ -305,8 +304,8 @@ TEST(FleetChaos, FaultsAreContainedToTheFaultedTenants) {
   EXPECT_GE(reorder.transport.duplicates_dropped, 1u);
   EXPECT_EQ(reorder.state, fleet::TenantState::kDrained);
 
-  // The wedged worker: the watchdog restarts the pipeline, the wedged
-  // frame comes back as a contained error, and no frame is lost.
+  // The stalled stage: the watchdog restarts, the stalled frame comes
+  // back as a contained error, and no frame is lost.
   const auto& stall = chaos.final_state.at("chaos-stall");
   EXPECT_EQ(stall.supervisor.stalls_detected, 1u);
   EXPECT_EQ(stall.supervisor.restarts, 1u);
@@ -349,7 +348,7 @@ TEST(FleetChaos, ChaosRunIsByteStableAcrossRepeats) {
 }
 
 // Shard count and threading must not change any tenant whose admission
-// sequence is mode-independent (no mid-stream revival): lockstep
+// sequence is mode-independent (no mid-stream revival): inline-scoring
 // supervisors + arrival-order admission make the fingerprints equal.
 // (The torn tenant's revival timing is allowed to differ between inline
 // and queued execution, so it is excluded.)

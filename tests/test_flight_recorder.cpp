@@ -326,14 +326,11 @@ const Fixture& fixture() {
   return f;
 }
 
-/// One deterministic supervised run with the recorder on: lockstep, no
-/// online update, a fixed manifest, and an operator trigger at a fixed
-/// frame.  The post-trigger window is wider than the stream remainder,
-/// so the bundle is emitted by flush() at finish() — at quiescence —
-/// which is what makes the context counters (live pipeline snapshots)
-/// byte-stable too; a mid-stream emission snapshots them while workers
-/// are still scoring ahead of the serialized handler.  Returns the first
-/// bundle plus the sink's view of every result.
+/// One deterministic supervised run with the recorder on: no online
+/// update, a fixed manifest, and an operator trigger at a fixed frame.
+/// The post-trigger window is wider than the stream remainder, so the
+/// bundle is emitted by flush() at finish().  Returns the first bundle
+/// plus the sink's view of every result.
 struct SupervisedRun {
   std::string bundle;
   std::map<std::uint64_t, pipeline::FrameResult> results;
@@ -346,7 +343,6 @@ SupervisedRun run_supervised(std::size_t workers) {
   sc.pipeline.num_workers = workers;
   sc.pipeline.keep_edge_set = true;  // evidence retains feature vectors
   sc.online_update = false;
-  sc.lockstep = true;
   sc.flight_recorder = true;
   sc.recorder.bus = "test_bus";
   sc.recorder.ring_capacity = 32;
@@ -360,8 +356,9 @@ SupervisedRun run_supervised(std::size_t workers) {
   });
   for (std::size_t i = 0; i < fx.traces.size(); ++i) {
     sup.submit(fx.traces[i]);
-    // Lockstep: frame i is fully handled here, so the trigger lands at
-    // the same frames_handled in every run regardless of worker count.
+    // Frame i is fully handled when submit() returns, so the trigger
+    // lands at the same frames_handled in every run regardless of the
+    // configured worker count.
     if (i == 19) sup.trigger_incident("fixed-point trigger");
   }
   sup.finish();

@@ -513,10 +513,9 @@ TEST(SupervisorTest, SubmitAfterFinishIsRefused) {
 }
 
 TEST(SupervisorTest, GovernorShedsDeterministicallyUnderAWedgedWorker) {
-  // One worker, wedged on frame 0 by a planned stall: every further submit
-  // grows the queue, so the governor's hysteresis and stride are exercised
-  // on a fully deterministic depth sequence (lockstep hands control back
-  // as soon as the worker is visibly wedged).
+  // A planned stall on frame 0: every further submit grows the backlog
+  // behind it, so the governor's hysteresis and stride are exercised on a
+  // fully deterministic depth sequence.
   const Fixture& fx = fixture();
   ASSERT_GE(fx.traces.size(), 12u);
 
@@ -524,7 +523,6 @@ TEST(SupervisorTest, GovernorShedsDeterministicallyUnderAWedgedWorker) {
   sc.pipeline.num_workers = 1;
   sc.pipeline.queue_capacity = 32;
   sc.online_update = false;
-  sc.lockstep = true;
   sc.governor_high_water = 4;
   sc.governor_low_water = 1;
   sc.decimation_stride = 2;
@@ -538,7 +536,7 @@ TEST(SupervisorTest, GovernorShedsDeterministicallyUnderAWedgedWorker) {
                             ++handled;
                             worker_errors += r.worker_error ? 1 : 0;
                           });
-  // Frames 0..9: 0 wedges its worker; 1..4 queue up (depth 0..3 at submit
+  // Frames 0..9: 0 stalls; 1..4 wait behind it (depth 0..3 at submit
   // time); 5 sees depth 4 and trips the governor; from there every other
   // offered frame is shed (ticks 1 and 3 -> offers 6 and 8).
   for (std::size_t i = 0; i < 10; ++i) sup.submit(fx.traces[i]);
@@ -552,12 +550,12 @@ TEST(SupervisorTest, GovernorShedsDeterministicallyUnderAWedgedWorker) {
   EXPECT_EQ(mid.stalls_detected, 1u);
   EXPECT_EQ(mid.restarts, 1u);
 
-  // Drained: the wedged frame came back as a worker_error, the rest
-  // scored.  The queue is empty again, so the governor deactivates.
+  // Drained: the stalled frame came back as a worker_error, the rest
+  // scored.  The backlog is empty again, so the governor deactivates.
   EXPECT_TRUE(sup.submit(fx.traces[10]).has_value());
   sup.finish();
   EXPECT_EQ(worker_errors, 1u);
-  EXPECT_EQ(handled, 9u);  // 8 wedge-phase frames + 1 after restart
+  EXPECT_EQ(handled, 9u);  // 8 stall-phase frames + 1 after restart
   const pipeline::CountersSnapshot c = sup.pipeline_counters();
   EXPECT_TRUE(c.consistent());
   EXPECT_EQ(c.submitted.value(), 9u);
@@ -570,7 +568,6 @@ TEST(SupervisorTest, ResultSeqIsGlobalAcrossRestarts) {
   runtime::SupervisorConfig sc;
   sc.pipeline.num_workers = 1;
   sc.online_update = false;
-  sc.lockstep = true;
   sc.watchdog.stall_timeout_ns = 1'000'000;
   sc.fault_plan.stalls.push_back({3});
 
@@ -583,7 +580,7 @@ TEST(SupervisorTest, ResultSeqIsGlobalAcrossRestarts) {
     sup.submit(fx.traces[i]);
     sup.poll(i * 10'000);
   }
-  sup.poll(20'000'000);  // release the wedge
+  sup.poll(20'000'000);  // give up the stalled frame
   for (std::size_t i = 8; i < 12; ++i) sup.submit(fx.traces[i]);
   sup.finish();
   ASSERT_EQ(seqs.size(), 12u);

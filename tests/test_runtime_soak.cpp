@@ -1,7 +1,7 @@
 // Deterministic soak scenarios for the runtime supervision layer.  Each
-// scenario drives the Supervisor in lockstep mode on virtual time, so a
-// run is a pure function of (seed, config, fault plan): worker stalls
-// wedge exactly the planned frame, the watchdog restarts on a virtual
+// scenario drives the Supervisor on virtual time, so a run is a pure
+// function of (seed, config, fault plan): planned stalls hold exactly the
+// planned frame, the watchdog restarts on a virtual
 // clock, drift alarms / candidate validation / promotion & rollback all
 // happen at frame-indexed points, and two same-seed runs must produce
 // bit-identical verdict fingerprints.  The `soak` ctest label lets CI
@@ -119,7 +119,6 @@ SoakOutcome run_soak(const SoakConfig& cfg) {
   faults::FaultInjector injector(profile, w.max_code, kSeed ^ 0x50a4ULL);
 
   runtime::SupervisorConfig sc = cfg.sup;
-  sc.lockstep = true;  // verdict stream == pure function of the inputs
   sc.pipeline.num_workers = 1;
 
   runtime::Supervisor sup(*w.model, sc, nullptr);
@@ -145,9 +144,9 @@ SoakOutcome run_soak(const SoakConfig& cfg) {
   return out;
 }
 
-/// The watchdog scenario: a worker wedges on one planned frame; the
-/// virtual-clock watchdog must detect the stall, restart the pipeline, and
-/// the wedged frame must come back as a contained worker error.
+/// The watchdog scenario: the scoring stage stalls on one planned frame;
+/// the virtual-clock watchdog must detect the stall and restart, and the
+/// stalled frame must come back as a contained worker error.
 SoakConfig stall_restart_config() {
   SoakConfig cfg;
   cfg.frame_count = 400;
@@ -221,7 +220,7 @@ TEST(Soak, StallIsDetectedRestartedAndContained) {
   EXPECT_EQ(o.stats.stalls_detected, 1u);
   EXPECT_EQ(o.stats.restarts, 1u);
   EXPECT_EQ(o.stats.worker_errors, 1u);
-  // The wedged frame is released on restart and comes back as a contained
+  // The stalled frame is given up on restart and comes back as a contained
   // worker error, so no frame is lost.
   EXPECT_EQ(o.stats.frames_handled, 400u);
   EXPECT_EQ(o.stats.frames_submitted, 400u);

@@ -19,12 +19,14 @@
 // registry (Prometheus exposition / JSONL) and --trace-out writes a
 // Chrome trace_event JSON — all stamped with the RunManifest.
 //
-// --service wraps the pipeline in the runtime::Supervisor: stall watchdog
-// with restart + backoff, Page–Hinkley drift sentinel with guarded online
-// retraining, periodic crash-safe model checkpoints (--checkpoint-dir /
-// --checkpoint-every) and the overload governor.  SIGINT/SIGTERM stop
-// intake cleanly in every mode: the pipeline drains, the final checkpoint
-// commits, and the telemetry artifacts are still written.
+// --service scores every frame inline in the runtime::Supervisor (no
+// worker threads, so --workers only sizes training and --queue /
+// --no-block have no effect): stall watchdog with restart + backoff,
+// Page–Hinkley drift sentinel with guarded online retraining and
+// periodic crash-safe model checkpoints (--checkpoint-dir /
+// --checkpoint-every).  SIGINT/SIGTERM stop intake cleanly in every mode:
+// in-flight frames drain, the final checkpoint commits, and the telemetry
+// artifacts are still written.
 //
 // Service-mode introspection: the supervisor always carries a flight
 // recorder (evidence ring + freeze-on-trigger incident bundles; bundles
@@ -109,8 +111,9 @@ void usage() {
       "  --metrics-out writes Prometheus text exposition at exit\n"
       "  --jsonl-out writes the metrics as a JSONL event stream\n"
       "  --trace-out writes Chrome trace_event JSON (chrome://tracing)\n"
-      "  --service runs under the runtime supervisor (watchdog, drift\n"
-      "  sentinel with guarded online retraining, overload governor)\n"
+      "  --service scores inline under the runtime supervisor (watchdog,\n"
+      "  drift sentinel with guarded online retraining); --workers,\n"
+      "  --queue and --no-block do not apply to its scoring\n"
       "  --checkpoint-dir enables crash-safe model checkpoints there\n"
       "  --checkpoint-every N commits a checkpoint every N scored frames\n"
       "  --status-port N serves /metrics /healthz /statusz /incident/<id>\n"
@@ -383,9 +386,8 @@ int main(int argc, char** argv) {
 
   if (service) {
     // Attack labels by the supervisor's global frame index.  The slot is
-    // written before submit() (the queue handoff orders it ahead of the
-    // sink's read); a governor-shed frame's slot is simply rewritten by
-    // the next offered frame.
+    // written before submit(), whose inline sink reads it; a shed frame's
+    // slot is simply rewritten by the next offered frame.
     std::vector<char> labels(stream.size(), 0);
     std::uint64_t next_global = 0;
 
@@ -393,8 +395,6 @@ int main(int argc, char** argv) {
     sc.pipeline = pc;
     sc.checkpoint_dir = checkpoint_dir;
     sc.checkpoint_every = checkpoint_every;
-    sc.governor_high_water = queue_capacity * 3 / 4;
-    sc.governor_low_water = queue_capacity / 4;
     sc.flight_recorder = true;
     sc.recorder.bus = "vehicle_" + vehicle_name;
     sc.recorder.incident_dir = incident_dir;
@@ -577,8 +577,12 @@ int main(int argc, char** argv) {
   std::printf("precision %.4f  recall %.4f  f-score %.4f  accuracy %.4f\n",
               confusion.precision(), confusion.recall(), confusion.f_score(),
               confusion.accuracy());
-  std::printf("\npipeline: %zu workers, queue %zu (%s)\n", workers,
-              queue_capacity, block_when_full ? "backpressure" : "drop");
+  if (service) {
+    std::printf("\npipeline: inline in the supervisor\n");
+  } else {
+    std::printf("\npipeline: %zu workers, queue %zu (%s)\n", workers,
+                queue_capacity, block_when_full ? "backpressure" : "drop");
+  }
   std::printf("  frames      %llu submitted, %llu scored, %llu dropped, "
               "%zu extraction failures, %zu degraded\n",
               static_cast<unsigned long long>(c.submitted.value()),
@@ -619,7 +623,9 @@ int main(int argc, char** argv) {
               c.frames_per_second(elapsed_s), elapsed_s);
   std::printf("  latency     extract %.1f us/frame, detect %.1f us/frame\n",
               c.mean_extract_us(), c.mean_detect_us());
-  std::printf("  queue depth high watermark %zu\n", c.queue_high_watermark);
+  if (!service) {
+    std::printf("  queue depth high watermark %zu\n", c.queue_high_watermark);
+  }
   if (sup_stats) {
     const runtime::SupervisorStats& ss = *sup_stats;
     std::printf("\nsupervisor: health=%s\n", runtime::to_string(sup_health));
